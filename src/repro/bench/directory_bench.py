@@ -22,9 +22,9 @@ plain TTL polling, one upgraded to watch upcalls.  Four numbers:
 from __future__ import annotations
 
 import asyncio
-import statistics
 import time
 
+from repro.bench.stats import p50, p95
 from repro.cluster import ClusterClient, LeaderClient, ReplicatedDirectoryServer
 
 SERVICE = "bench"
@@ -32,11 +32,10 @@ LEASE = 60.0
 
 
 def _pctl(samples_us: list[float]) -> dict[str, float]:
-    ordered = sorted(samples_us)
     return {
-        "samples": float(len(ordered)),
-        "p50_us": round(statistics.median(ordered), 2),
-        "p95_us": round(ordered[min(len(ordered) - 1, int(len(ordered) * 0.95))], 2),
+        "samples": float(len(samples_us)),
+        "p50_us": round(p50(samples_us), 2),
+        "p95_us": round(p95(samples_us), 2),
     }
 
 
@@ -166,8 +165,8 @@ async def record(quick: bool = False) -> dict[str, dict[str, float]]:
                 await asyncio.sleep(0.01)
         out["failover"] = {
             "kills": float(kills),
-            "write_recover_ms_p50": round(statistics.median(write_ms), 1),
-            "watch_recover_ms_p50": round(statistics.median(watch_ms), 1),
+            "write_recover_ms_p50": round(p50(write_ms), 1),
+            "watch_recover_ms_p50": round(p50(watch_ms), 1),
             "watch_recover_ms_max": round(max(watch_ms), 1),
         }
         return out

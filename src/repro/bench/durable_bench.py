@@ -21,11 +21,11 @@ replay are host-local by design — that is where those paths run.
 from __future__ import annotations
 
 import asyncio
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.bench.stats import Latencies
 from repro.bundlers import default_registry
 from repro.client import ClamClient
 from repro.cluster import UpcallGroup
@@ -56,21 +56,9 @@ class PlainHub(RemoteInterface):
 
 
 @dataclass
-class SteadyResult:
+class SteadyResult(Latencies):
     events: int
     latencies_us: list[float]
-
-    @property
-    def p50_us(self) -> float:
-        return statistics.median(self.latencies_us) if self.latencies_us else 0.0
-
-    @property
-    def p95_us(self) -> float:
-        if not self.latencies_us:
-            return 0.0
-        ordered = sorted(self.latencies_us)
-        index = min(len(ordered) - 1, round(0.95 * (len(ordered) - 1)))
-        return ordered[index]
 
 
 @dataclass

@@ -18,11 +18,11 @@ the p50/p95 of per-delivery latency.
 from __future__ import annotations
 
 import asyncio
-import statistics
 import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.bench.stats import Latencies
 from repro.client import ClamClient
 from repro.cluster import UpcallGroup
 from repro.server import ClamServer
@@ -42,7 +42,7 @@ class Hub(RemoteInterface):
 
 
 @dataclass
-class FanoutResult:
+class FanoutResult(Latencies):
     subscribers: int
     events: int
     elapsed_s: float
@@ -55,18 +55,6 @@ class FanoutResult:
     @property
     def deliveries_per_sec(self) -> float:
         return len(self.latencies_us) / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
-    def p50_us(self) -> float:
-        return statistics.median(self.latencies_us) if self.latencies_us else 0.0
-
-    @property
-    def p95_us(self) -> float:
-        if not self.latencies_us:
-            return 0.0
-        ordered = sorted(self.latencies_us)
-        index = min(len(ordered) - 1, round(0.95 * (len(ordered) - 1)))
-        return ordered[index]
 
 
 async def _measure_case(

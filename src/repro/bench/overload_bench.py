@@ -18,10 +18,10 @@ per second of wall time), and the p50/p95 latency of served calls.
 from __future__ import annotations
 
 import asyncio
-import statistics
 import time
 from dataclasses import dataclass
 
+from repro.bench.stats import Latencies
 from repro.client import ClamClient
 from repro.errors import ServerOverloadedError
 from repro.flow import AdmissionPolicy, TokenBucket
@@ -43,7 +43,7 @@ class Grinder(RemoteInterface):
 
 
 @dataclass
-class OverloadResult:
+class OverloadResult(Latencies):
     case: str
     offered: int
     served: int
@@ -58,18 +58,6 @@ class OverloadResult:
     @property
     def goodput_per_sec(self) -> float:
         return self.served / self.elapsed_s if self.elapsed_s else 0.0
-
-    @property
-    def p50_us(self) -> float:
-        return statistics.median(self.latencies_us) if self.latencies_us else 0.0
-
-    @property
-    def p95_us(self) -> float:
-        if not self.latencies_us:
-            return 0.0
-        ordered = sorted(self.latencies_us)
-        index = min(len(ordered) - 1, round(0.95 * (len(ordered) - 1)))
-        return ordered[index]
 
 
 def _cases(offered: int) -> list[tuple[str, AdmissionPolicy | None]]:

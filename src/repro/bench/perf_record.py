@@ -21,12 +21,12 @@ import dataclasses
 import datetime
 import json
 import platform
-import statistics
 import subprocess
 import sys
 import time
 from typing import Any, Callable
 
+from repro.bench.stats import p50, p95
 from repro.bundlers.auto import derive_bundler
 from repro.wire import CallMessage, decode_message, encode_message
 from repro.xdr import XdrStream
@@ -109,12 +109,10 @@ def _measure(fn: Callable[[], None], repeats: int) -> dict[str, float]:
         start = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - start) * 1e6)
-    samples.sort()
-    p95_index = min(len(samples) - 1, round(0.95 * (len(samples) - 1)))
     return {
-        "median_us": round(statistics.median(samples), 3),
-        "p95_us": round(samples[p95_index], 3),
-        "min_us": round(samples[0], 3),
+        "median_us": round(p50(samples), 3),
+        "p95_us": round(p95(samples), 3),
+        "min_us": round(min(samples), 3),
         "repeats": repeats,
     }
 

@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.bench.stats import p50
 from repro.client import ClamClient
 from repro.cluster import UpcallGroup
 from repro.obs.stages import ALL_STAGES, PIPELINE_STAGES, stage_budgets
@@ -69,7 +70,7 @@ class PipelineResult:
 
     @property
     def total_p50_us(self) -> float:
-        return statistics.median(self.latencies_us) if self.latencies_us else 0.0
+        return p50(self.latencies_us)
 
     @property
     def stage_sum_mean_us(self) -> float:

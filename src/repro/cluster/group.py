@@ -38,10 +38,10 @@ stream, without ever blocking the publisher on the slowest client:
   Durable topics stamp every event with a topic sequence number,
   prepended as the first handler argument, so clients can carry an
   exactly-once cursor across the outage
-  (:class:`repro.store.ReplayCursor`).  Replay goes through the same
-  ``send_upcall_batch`` path as live delivery, so it is paced by the
-  subscriber's CREDIT grants — a returning slow consumer drains its
-  backlog at its own window, never as a firehose.
+  (:class:`repro.store.ReplayCursor`).  Replayed records take the
+  same send and the same outcome rule as live events, so replay is
+  paced by the subscriber's CREDIT grants — a returning slow consumer
+  drains its backlog at its own window, never as a firehose.
 
 Evictions are surfaced the way failed void upcalls already are: the
 RUC's sender exposes ``report_upcall_failure`` (the §4.3 error-port
@@ -84,6 +84,14 @@ from repro.obs.stages import STAGE_ENQUEUE, STAGE_QUEUE, StageTimer
 #: Accepted slow-subscriber policies (the :mod:`repro.flow.bounded` set).
 SLOW_POLICIES = ("drop", "coalesce", "evict")
 
+#: Most spill-log records one replay step sends; the subscriber's
+#: credit headroom narrows it further.
+REPLAY_CHUNK = 64
+
+#: Failures that mean the delivery path itself is dead (client gone,
+#: no channel), not that one handler raised.
+_DEAD_PATH = (UpcallError, TransportError)
+
 
 class _Event:
     """One posted event plus its shared encode-once caches.
@@ -111,6 +119,28 @@ class _Event:
         if payload is None:
             payload = self.payloads[key] = signature.bundle_args(self.args)
         return payload
+
+
+class _Replayed(_Event):
+    """A spill-log record back on the delivery path.
+
+    The payload cache starts out holding the stored bytes, so a RUC
+    subscriber sends them as they are; ``args`` are unbundled only if
+    a local subscriber calls for them.
+    """
+
+    __slots__ = ("seq", "signature")
+
+    def __init__(self, seq: int, payload: bytes, signature):
+        self.seq = seq
+        self.signature = signature
+        self.t_post = 0.0
+        self.payloads = {signature.payload_key: payload}
+        self.frames = None
+
+    @property
+    def args(self) -> tuple:
+        return self.signature.unbundle_args(self.payloads[self.signature.payload_key])
 
 
 class _Subscriber:
@@ -176,7 +206,6 @@ class UpcallGroup:
         fence=None,
         store=None,
         resume_poll: float = 0.25,
-        replay_chunk: int = 64,
     ):
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
@@ -216,7 +245,6 @@ class UpcallGroup:
             store.register_group(topic, self)
         self._parked: dict = {}  # durable_id -> DurableSubscription
         self._resume_poll = resume_poll
-        self._replay_chunk = max(1, replay_chunk)
         self._resume_task: asyncio.Task | None = None
         #: Aggregate counters (per-subscriber ones live on the entries).
         self.posts = 0
@@ -654,7 +682,11 @@ class UpcallGroup:
     # -- delivery -----------------------------------------------------------------
 
     async def _pump(self, subscriber: _Subscriber) -> None:
-        """Drain one subscriber's queue in order, a whole batch per wakeup."""
+        """Drain one subscriber in order, a whole batch per wakeup.
+
+        Live events come from the queue, replayed ones from the spill
+        log; both take the same :meth:`_send` and :meth:`_settle`.
+        """
         # Everything this pump does — deliveries, and the upcall RTTs
         # the session records under them — is attributed to this topic
         # in the per-layer profile.  One contextvar store per pump
@@ -667,308 +699,181 @@ class UpcallGroup:
                 # carry the lower seqs and must go first.  While
                 # replaying, _offer spills instead of enqueueing, so
                 # the queue stays drained and replay owns the order.
-                if subscriber.replaying and not subscriber.queue:
-                    if not await self._replay_step(subscriber):
-                        return
-                    continue
-                if not subscriber.queue:
+                if subscriber.queue:
+                    events = subscriber.queue.pop_all()
+                    if subscriber.durable is not None:
+                        subscriber.pending = events
+                        subscriber.pending_from = 0
+                    if self._stages is not None:
+                        now = time.perf_counter()
+                        observe = self._stages.instrument(STAGE_QUEUE).observe
+                        for event in events:
+                            if event.t_post:
+                                observe((now - event.t_post) * 1e6)
+                elif subscriber.replaying:
+                    events = self._replay_events(subscriber)
+                    if not events:
+                        continue
+                else:
                     subscriber.idle.set()
                     subscriber.wakeup.clear()
                     subscriber.parked = True
                     await subscriber.wakeup.wait()
                     continue
-                events = subscriber.queue.pop_all()
-                if subscriber.durable is not None:
-                    subscriber.pending = events
-                    subscriber.pending_from = 0
-                if self._stages is not None:
-                    now = time.perf_counter()
-                    observe = self._stages.instrument(STAGE_QUEUE).observe
-                    for event in events:
-                        if event.t_post:
-                            observe((now - event.t_post) * 1e6)
                 # Probe the delivery path first: a RUC whose session
                 # lost its channels would *degrade* the failed send to
                 # a silent no-op (void upcall + degrade_upcalls), and
                 # the group would keep feeding a dead subscriber.
                 sender = getattr(subscriber.proc, "sender", None)
                 if sender is not None and getattr(sender, "can_upcall", True) is False:
-                    dead = UpcallError(
+                    self._lost(subscriber, events, 0, UpcallError(
                         f"subscriber {subscriber.key} on topic "
                         f"{self.topic!r} has no live upcall channel"
-                    )
-                    if subscriber.durable is not None:
-                        self._park(subscriber, dead, undelivered=events)
-                    else:
-                        self._evict(subscriber, dead)
+                    ))
                     return
-                batch_send = getattr(sender, "send_upcall_batch", None)
-                signature = getattr(subscriber.proc, "signature", None)
-                if batch_send is not None and signature is not None:
-                    # The hot path: one coalesced flush for the batch.
-                    if not await self._deliver_batch(
-                        subscriber, batch_send, signature, events
-                    ):
-                        return
-                else:
-                    # Local callables, bare senders: the classic one
-                    # awaited delivery per event.
-                    for index, event in enumerate(events):
-                        if not subscriber.alive:
-                            break
-                        subscriber.pending_from = index
-                        if not await self._deliver_one(
-                            subscriber, event, rest=events[index:]
-                        ):
-                            return
+                outcomes = await self._send(subscriber, events)
+                if not self._settle(subscriber, events, outcomes):
+                    return
                 subscriber.pending = None
         finally:
             subscriber.idle.set()
 
-    async def _deliver_one(
-        self, subscriber: _Subscriber, event: _Event, rest: list | None = None
-    ) -> bool:
-        """One awaited delivery; returns False when the pump must exit.
+    def _replay_events(self, subscriber: _Subscriber) -> list:
+        """The next window-shaped bite of the spill log, as events.
 
-        ``rest`` is the undelivered tail of the popped batch, this
-        event included — what a durable subscriber spills when the
-        delivery path turns out to be dead.
-        """
-        try:
-            result = subscriber.proc(*event.args)
-            if inspect.isawaitable(result):
-                await result
-        except asyncio.CancelledError:
-            raise
-        except (UpcallError, TransportError) as exc:
-            # The delivery path itself is dead (client gone, no
-            # channel): keeping the subscription only accretes
-            # an undeliverable backlog.
-            if subscriber.durable is not None:
-                self._park(subscriber, exc, undelivered=rest or [event])
-            else:
-                self._evict(subscriber, exc)
-            return False
-        except Exception as exc:
-            # The handler raised but the path is alive; count
-            # it, offer it to the degradation route, move on.
-            self.errors += 1
-            if self._metrics is not None:
-                self._metrics.counter("cluster.fanout.errors").inc()
-            self._offer_report(subscriber, exc)
-        else:
-            subscriber.delivered += 1
-            self.delivered += 1
-            if self._metrics is not None:
-                self._metrics.counter("cluster.fanout.delivered").inc()
-        return True
-
-    async def _deliver_batch(
-        self, subscriber: _Subscriber, batch_send, signature, events: list
-    ) -> bool:
-        """One coalesced flush of ``events``; False when the pump must exit.
-
-        Encode-once: each event's payload comes from its shared cache
-        (:meth:`_Event.payload_for`), and the per-event ``frames`` dict
-        rides along so the session can reuse encoded frame templates
-        across subscribers.  Failure classification mirrors the
-        per-event path: a dead delivery path evicts, a per-event
-        failure is degraded (§4.3 error port, void upcalls) or counted.
-        """
-        proc = subscriber.proc
-        callback_id = getattr(proc, "callback_id", 0)
-        durable = subscriber.durable
-        try:
-            items = [(event.payload_for(signature), event.frames) for event in events]
-            outcomes = await batch_send(callback_id, items)
-        except asyncio.CancelledError:
-            raise
-        except (UpcallError, TransportError) as exc:
-            if durable is not None:
-                self._park(subscriber, exc, undelivered=events)
-            else:
-                self._evict(subscriber, exc)
-            return False
-        except Exception as exc:
-            # Marshalling trouble (or a broken sender): the path is
-            # alive but the whole batch failed before any write.
-            self.errors += len(events)
-            if self._metrics is not None:
-                self._metrics.counter("cluster.fanout.errors").inc(len(events))
-            self._offer_report(subscriber, exc)
-            return True
-        for index, outcome in enumerate(outcomes):
-            if isinstance(outcome, Exception):
-                # A dead delivery path parks a durable subscriber with
-                # everything from this event on — checked *before* the
-                # degradation route, which would otherwise absorb the
-                # failure (void upcall + degrade_upcalls) and count an
-                # event the client never saw as delivered.
-                if durable is not None and isinstance(
-                    outcome, (UpcallError, TransportError)
-                ):
-                    self._park(subscriber, outcome, undelivered=events[index:])
-                    return False
-                if self._absorbed(subscriber, callback_id, signature, outcome):
-                    # Degraded to a no-op, exactly like a void
-                    # RemoteUpcall would have: counts as delivered.
-                    subscriber.delivered += 1
-                    self.delivered += 1
-                    if self._metrics is not None:
-                        self._metrics.counter("cluster.fanout.delivered").inc()
-                elif isinstance(outcome, (UpcallError, TransportError)):
-                    self._evict(subscriber, outcome)
-                    return False
-                else:
-                    self.errors += 1
-                    if self._metrics is not None:
-                        self._metrics.counter("cluster.fanout.errors").inc()
-                    self._offer_report(subscriber, outcome)
-            else:
-                subscriber.delivered += 1
-                self.delivered += 1
-                if self._metrics is not None:
-                    self._metrics.counter("cluster.fanout.delivered").inc()
-        return True
-
-    def _absorbed(
-        self, subscriber: _Subscriber, callback_id: int, signature, exc: Exception
-    ) -> bool:
-        """The batch-path mirror of :class:`~repro.core.RemoteUpcall`'s
-        void-upcall degradation: offer the failure to the sender's
-        error port, absorb only if it accepts and no result is owed."""
-        if signature.result_type is not type(None):
-            return False
-        sender = getattr(subscriber.proc, "sender", None)
-        report = getattr(sender, "report_upcall_failure", None)
-        if report is None:
-            return False
-        try:
-            return bool(report(callback_id, exc))
-        except Exception:
-            return False
-
-    async def _replay_step(self, subscriber: _Subscriber) -> bool:
-        """Drain one window-shaped bite of the spill log; False = pump exits.
-
-        Replay is paced by the *live* credit gate: the chunk size asks
-        the session's upcall gate for headroom
-        (:meth:`~repro.flow.CreditGate.headroom`) and the send itself
-        goes through ``send_upcall_batch``, whose
-        :meth:`~repro.flow.CreditGate.acquire_batch` blocks on the
-        client's CREDIT grants — a returning subscriber absorbs its
-        backlog exactly as fast as it re-grants window, never faster.
-
-        Each successfully sent record advances the acknowledge cursor
-        (server-side ack; the client's own cursor closes the in-doubt
-        window, see :class:`repro.store.ReplayCursor`).  Posts that
-        arrive mid-replay spill behind the backlog, so the log drains
-        to empty in seq order and only then does the pump flip live —
-        synchronously, no await between the empty check and the flip.
+        The bite asks the session's upcall gate for headroom
+        (:meth:`~repro.flow.CreditGate.headroom`), and the send itself
+        blocks on the client's CREDIT grants, so a returning subscriber
+        absorbs its backlog exactly as fast as it re-grants window.  An
+        empty log flips the subscriber live — synchronously, with no
+        await between the empty check and the flip, so no post can
+        slip between the backlog and the queue.
         """
         durable = subscriber.durable
-        proc = subscriber.proc
-        sender = getattr(proc, "sender", None)
-        if sender is not None and getattr(sender, "can_upcall", True) is False:
-            self._park(
-                subscriber,
-                UpcallError(
-                    f"durable subscriber {durable.durable_id!r} on topic "
-                    f"{self.topic!r} lost its upcall channel mid-replay"
-                ),
-            )
-            return False
-        chunk = self._replay_chunk
-        gate = getattr(sender, "upcall_gate", None)
-        if gate is not None:
-            chunk = gate.headroom(default=self._replay_chunk)
+        gate = getattr(getattr(subscriber.proc, "sender", None), "upcall_gate", None)
+        chunk = REPLAY_CHUNK if gate is None else gate.headroom(default=REPLAY_CHUNK)
         records = durable.replay(durable.acked, max_events=chunk)
         if not records:
             subscriber.replaying = False
             self._update_store_gauges()
-            return True
-        batch_send = getattr(sender, "send_upcall_batch", None)
-        callback_id = getattr(proc, "callback_id", 0)
-        acked_to = durable.acked
-        if batch_send is not None:
+        signature = subscriber.signature
+        return [_Replayed(seq, payload, signature) for seq, payload in records]
+
+    async def _send(self, subscriber: _Subscriber, events: list) -> list:
+        """Deliver ``events`` in order; one outcome per event tried.
+
+        An outcome is the handler's result or the exception it failed
+        with.  A RUC whose sender batches gets one coalesced flush
+        (``send_upcall_batch``): payloads come from each event's
+        shared cache and the per-event ``frames`` dict rides along, so
+        the session reuses encoded frame templates across subscribers.
+        Anything else is awaited event by event.  Either way a dead
+        delivery path (:class:`UpcallError`/:class:`TransportError`)
+        is the last outcome returned.
+        """
+        proc = subscriber.proc
+        batch_send = getattr(getattr(proc, "sender", None), "send_upcall_batch", None)
+        signature = getattr(proc, "signature", None)
+        if batch_send is not None and signature is not None:
             try:
-                outcomes = await batch_send(
-                    callback_id, [(payload, None) for _, payload in records]
+                return await batch_send(
+                    getattr(proc, "callback_id", 0),
+                    [(event.payload_for(signature), event.frames) for event in events],
                 )
-            except asyncio.CancelledError:
-                raise
-            except (UpcallError, TransportError) as exc:
-                self._park(subscriber, exc)
-                return False
+            except _DEAD_PATH as exc:
+                return [exc]
             except Exception as exc:
-                # The sender broke on stored bytes — count the chunk as
-                # errored and move past it, mirroring the live batch
-                # path's whole-batch failure handling; looping on the
-                # same bytes forever helps nobody.
-                self.errors += len(records)
-                if self._metrics is not None:
-                    self._metrics.counter("cluster.fanout.errors").inc(
-                        len(records)
-                    )
-                self._offer_report(subscriber, exc)
-                durable.ack(records[-1][0])
-                return True
-            for (seq, _payload), outcome in zip(records, outcomes):
-                if isinstance(outcome, (UpcallError, TransportError)):
-                    durable.ack(acked_to)
-                    self._park(subscriber, outcome)
-                    return False
-                if isinstance(outcome, Exception):
-                    self.errors += 1
-                    if self._metrics is not None:
-                        self._metrics.counter("cluster.fanout.errors").inc()
-                    self._offer_report(subscriber, outcome)
-                else:
-                    subscriber.delivered += 1
-                    self.delivered += 1
-                    if self._metrics is not None:
-                        self._metrics.counter("cluster.fanout.delivered").inc()
-                acked_to = seq
-                self.replayed += 1
-                if self._metrics is not None:
-                    self._metrics.counter("store.replayed_events").inc()
-            durable.ack(acked_to)
-        else:
-            # Local durable subscriber: unbundle and call, one by one.
-            signature = subscriber.signature
-            for seq, payload in records:
-                if not subscriber.alive:
+                # Marshalling trouble or a broken sender: nothing was
+                # written and every event failed alike.
+                return [exc] * len(events)
+        outcomes = []
+        for index, event in enumerate(events):
+            if not subscriber.alive:
+                break
+            subscriber.pending_from = index
+            try:
+                result = proc(*event.args)
+                if inspect.isawaitable(result):
+                    result = await result
+            except Exception as exc:
+                outcomes.append(exc)
+                if isinstance(exc, _DEAD_PATH):
                     break
-                try:
-                    result = proc(*signature.unbundle_args(payload))
-                    if inspect.isawaitable(result):
-                        await result
-                except asyncio.CancelledError:
-                    raise
-                except (UpcallError, TransportError) as exc:
-                    durable.ack(acked_to)
-                    self._park(subscriber, exc)
-                    return False
-                except Exception as exc:
-                    self.errors += 1
-                    if self._metrics is not None:
-                        self._metrics.counter("cluster.fanout.errors").inc()
-                    self._offer_report(subscriber, exc)
-                else:
-                    subscriber.delivered += 1
-                    self.delivered += 1
-                    if self._metrics is not None:
-                        self._metrics.counter("cluster.fanout.delivered").inc()
-                acked_to = seq
-                self.replayed += 1
-                if self._metrics is not None:
-                    self._metrics.counter("store.replayed_events").inc()
-            durable.ack(acked_to)
+            else:
+                outcomes.append(result)
+        return outcomes
+
+    def _settle(self, subscriber: _Subscriber, events: list, outcomes: list) -> bool:
+        """Count each event's outcome; False when the pump must exit.
+
+        The one outcome rule, live and replayed alike: a success is
+        delivered; a failure the subscriber's error port absorbs
+        (:meth:`~repro.core.RemoteUpcall.degrades`) is delivered too;
+        a dead delivery path parks a durable subscriber or evicts a
+        plain one (:meth:`_lost`); any other failure is an error,
+        reported and passed over.  Replayed events that settled are
+        acknowledged in the log.
+        """
+        degrades = getattr(subscriber.proc, "degrades", None)
+        durable = subscriber.durable
+        delivered = errors = 0
+        lost = None
+        for index, outcome in enumerate(outcomes):
+            if not isinstance(outcome, Exception):
+                delivered += 1
+                continue
+            dead = isinstance(outcome, _DEAD_PATH)
+            # A durable dead path parks without asking the error port,
+            # which would absorb the failure and count an event the
+            # client never saw as delivered.
+            if (
+                not (dead and durable is not None)
+                and degrades is not None
+                and degrades(outcome)
+            ):
+                delivered += 1
+            elif dead:
+                lost = index
+                break
+            else:
+                errors += 1
+                self._offer_report(subscriber, outcome)
+        subscriber.delivered += delivered
+        self.delivered += delivered
+        self.errors += errors
         if self._metrics is not None:
-            self._metrics.gauge("store.replay_lag_events").set(
-                durable.backlog_events
-            )
+            if delivered:
+                self._metrics.counter("cluster.fanout.delivered").inc(delivered)
+            if errors:
+                self._metrics.counter("cluster.fanout.errors").inc(errors)
+        settled = len(outcomes) if lost is None else lost
+        if settled and isinstance(events[0], _Replayed):
+            durable.ack(events[settled - 1].seq)
+            self.replayed += settled
+            if self._metrics is not None:
+                self._metrics.counter("store.replayed_events").inc(settled)
+                self._metrics.gauge("store.replay_lag_events").set(
+                    durable.backlog_events
+                )
+        if lost is not None:
+            self._lost(subscriber, events, lost, outcomes[lost])
+            return False
         return True
+
+    def _lost(
+        self, subscriber: _Subscriber, events: list, index: int, exc: Exception
+    ) -> None:
+        """The delivery path died at ``events[index]``: park a durable
+        subscriber with the rest of the batch, evict a plain one.
+
+        Replayed events are still in the log, so nothing is respilled.
+        """
+        if subscriber.durable is None:
+            self._evict(subscriber, exc)
+        elif isinstance(events[0], _Replayed):
+            self._park(subscriber, exc)
+        else:
+            self._park(subscriber, exc, undelivered=events[index:])
 
     def _evict(self, subscriber: _Subscriber, exc: Exception) -> None:
         self._subscribers.pop(subscriber.key, None)

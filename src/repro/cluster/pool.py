@@ -64,6 +64,7 @@ from repro.errors import (
 from repro.cluster.endpoints import DirectoryEvent, Endpoint
 from repro.obs.metrics import MetricsRegistry
 from repro.rpc import RetryPolicy
+from repro.store import ReplayCursor
 from repro.stubs import interface_spec
 
 
@@ -532,7 +533,7 @@ class _ServiceWatch:
     """One service's watch subscription: link, cursor, monitor task."""
 
     __slots__ = (
-        "service", "link", "queue", "task", "mark", "key", "active",
+        "service", "link", "queue", "task", "cursor", "key", "active",
         "stopped", "resync",
     )
 
@@ -542,7 +543,7 @@ class _ServiceWatch:
         self.queue: asyncio.Queue = asyncio.Queue()
         self.task: asyncio.Task | None = None
         #: Last ``(epoch, version)`` applied — the exactly-once cursor.
-        self.mark = (0, 0)
+        self.cursor = ReplayCursor((0, 0))
         self.key = 0
         self.active = False
         self.stopped = False
@@ -774,7 +775,7 @@ class ClusterClient:
         while not watch.stopped:
             try:
                 watch.key = await watch.link.invoke(
-                    "watch", watch.service, watch.mark[0], watch.mark[1], watch.sink
+                    "watch", watch.service, *watch.cursor.last, watch.sink
                 )
             except asyncio.CancelledError:
                 raise
@@ -819,15 +820,13 @@ class ClusterClient:
                 watch.resync = False
                 await watch.link.reset()
                 return True
-            stamp = (event.epoch, event.version)
-            if stamp <= watch.mark:
+            if not watch.cursor.admit((event.epoch, event.version)):
                 # Replay overlap (at-least-once below, exactly-once
                 # here): already applied, drop it.
                 self.metrics.counter(
                     "cluster.client.watch_duplicates", service=watch.service
                 ).inc()
                 continue
-            watch.mark = stamp
             if event.kind == "leader-change":
                 leader = event.url
                 if leader != watch.link.url:

@@ -177,15 +177,29 @@ class RemoteUpcall:
         try:
             reply = await self.sender.send_upcall(self.callback_id, payload)
         except Exception as exc:
-            report = getattr(self.sender, "report_upcall_failure", None)
-            if (
-                report is not None
-                and self.signature.result_type is type(None)
-                and report(self.callback_id, exc)
-            ):
+            if self.degrades(exc):
                 return None
             raise
         return self.signature.unbundle_result(reply)
+
+    def degrades(self, exc: Exception) -> bool:
+        """Offer a failed upcall to the sender's error port; True if it
+        may degrade to a no-op.
+
+        Only a void upcall may, and only when the sender exposes
+        ``report_upcall_failure`` and accepts the failure.  The one
+        degradation rule: this call and fan-out delivery
+        (:class:`repro.cluster.UpcallGroup`) both apply it.
+        """
+        if self.signature.result_type is not type(None):
+            return False
+        report = getattr(self.sender, "report_upcall_failure", None)
+        if report is None:
+            return False
+        try:
+            return bool(report(self.callback_id, exc))
+        except Exception:
+            return False
 
     def __repr__(self) -> str:
         return f"<RemoteUpcall #{self.callback_id} {self.signature!r}>"

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.cluster.directory import DIRECTORY_SERVICE, DirectoryInterface
 from repro.cluster.group import UpcallGroup
+from repro.store import ReplayCursor
 from repro.stubs import RemoteInterface, idempotent
 
 if TYPE_CHECKING:
@@ -161,10 +162,10 @@ class TelemetryHub(TelemetryInterface):
 class _NodeState:
     """What the collector knows about one pushing node."""
 
-    __slots__ = ("seq", "snapshot", "ts", "prev_snapshot", "prev_ts", "received")
+    __slots__ = ("cursor", "snapshot", "ts", "prev_snapshot", "prev_ts", "received")
 
     def __init__(self) -> None:
-        self.seq = 0
+        self.cursor = ReplayCursor()
         self.snapshot: dict[str, float] = {}
         self.ts = 0.0
         self.prev_snapshot: dict[str, float] = {}
@@ -196,12 +197,11 @@ class Collector:
         state = self.nodes.get(node)
         if state is None:
             state = self.nodes[node] = _NodeState()
-        if seq <= state.seq:
+        if not state.cursor.admit(seq):
             self.stale_pushes += 1
             return
         state.prev_snapshot = state.snapshot
         state.prev_ts = state.ts
-        state.seq = seq
         state.snapshot = snapshot
         state.ts = snapshot.get("telemetry.ts", time.time())
         state.received += 1

@@ -20,6 +20,7 @@ The session owns:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import secrets
 import time
@@ -38,7 +39,6 @@ from repro.wire import (
     CreditMessage,
     Message,
     UpcallExceptionMessage,
-    UpcallMessage,
     UpcallReplyMessage,
     encode_upcall_template,
     patch_upcall_frame,
@@ -197,6 +197,15 @@ class Session:
 
     # -- UpcallSender protocol (what RUC objects call) ------------------------------
 
+    def _upcall_path(self) -> MessageChannel:
+        channel = self._upcall_channel if self.has_upcall_channel else self.rpc_channel
+        if channel is None or channel.closed:
+            raise UpcallError(
+                "client has no channel for upcalls (neither a dedicated "
+                "upcall stream nor a live RPC stream)"
+            )
+        return channel
+
     async def send_upcall(self, callback_id: int, args: bytes) -> bytes:
         """Perform one distributed upcall to this client.
 
@@ -210,88 +219,19 @@ class Session:
         onto its RPC stream.  In single-stream mode the upcall must
         originate from a server *task* — an RPC handler awaiting an
         upcall inline would block the very stream the reply arrives on.
+
+        It is a one-item batch: the same slot, credit, serial and
+        frame code as :meth:`send_upcall_batch`, with the outcome
+        raised instead of returned.
         """
-        channel = self._upcall_channel if self.has_upcall_channel else self.rpc_channel
-        if channel is None or channel.closed:
-            raise UpcallError(
-                "client has no channel for upcalls (neither a dedicated "
-                "upcall stream nor a live RPC stream)"
+        channel = self._upcall_path()
+        with self._upcall_span(f"ruc-{callback_id}") as ctx:
+            (result,) = await self._send_locked(
+                callback_id, ((args, None),), channel, ctx
             )
-        tracer = self.server.tracer
-        if tracer.active:
-            from repro.trace import KIND_UPCALL
-
-            with tracer.span(KIND_UPCALL, f"ruc-{callback_id}") as ctx:
-                return await self._send_upcall_locked(callback_id, args, channel, ctx)
-        return await self._send_upcall_locked(
-            callback_id, args, channel, current_context()
-        )
-
-    async def _send_upcall_locked(
-        self,
-        callback_id: int,
-        args: bytes,
-        channel,
-        ctx: SpanContext | None = None,
-    ) -> bytes:
-        stages = self.server.stages
-        t_entry = time.perf_counter() if stages is not None else 0.0
-        async with self._upcall_slots:
-            # Interactive traffic still honours the client's window: a
-            # client that stopped draining upcalls stalls the server
-            # task here (bounded by upcall_timeout via the send below)
-            # rather than ballooning the client's queue.
-            await self.upcall_gate.acquire(message_cost(args))
-            serial = next(self._upcall_serials)
-            future: asyncio.Future = asyncio.get_running_loop().create_future()
-            self._waiting[serial] = future
-            self.upcalls_sent += 1
-            metrics = self.server.metrics
-            started = time.perf_counter() if metrics is not None else 0.0
-            if stages is not None:
-                # Gate stage: §4.4 slot + credit window acquisition.
-                stages.observe(STAGE_GATE, (started - t_entry) * 1e6)
-            try:
-                await channel.send(
-                    UpcallMessage(
-                        serial=serial,
-                        ruc_id=callback_id,
-                        args=args,
-                        trace_id=ctx.trace_id if ctx else "",
-                        parent_span=ctx.span_id if ctx else 0,
-                    )
-                )
-                if stages is not None:
-                    stages.observe(
-                        STAGE_WRITE, (time.perf_counter() - started) * 1e6
-                    )
-                timeout = self.server.upcall_timeout
-                if timeout is None:
-                    results = await future
-                else:
-                    try:
-                        results = await asyncio.wait_for(future, timeout)
-                    except asyncio.TimeoutError:
-                        # A late reply will find no waiter and be dropped.
-                        raise UpcallError(
-                            f"client did not complete the upcall within "
-                            f"{timeout}s; releasing the server task (§4.3 "
-                            f"blocking bounded by upcall_timeout)"
-                        ) from None
-                if metrics is not None:
-                    rtt_us = (time.perf_counter() - started) * 1e6
-                    metrics.histogram("upcall.server.rtt_us").observe(rtt_us)
-                    profiler = self.server.profiler
-                    if profiler is not None:
-                        # Attribute the round trip to whatever layer's
-                        # dynamic extent we are running in — a fan-out
-                        # pump, an RPC handler's layer, or the host.
-                        profiler.record_upcall(
-                            current_layer() or HOST_LAYER, rtt_us, len(args)
-                        )
-                return results
-            finally:
-                self._waiting.pop(serial, None)
+            if isinstance(result, Exception):
+                raise result
+            return result
 
     async def send_upcall_batch(
         self, callback_id: int, items
@@ -305,13 +245,12 @@ class Session:
         each event into frame bytes exactly once.  ``frame_cache`` may
         be ``None`` for one-off callers.
 
-        The batch is the hot-path generalization of :meth:`send_upcall`:
-        one §4.4 slot acquisition, one credit-window pass
+        One §4.4 slot acquisition, one credit-window pass
         (:meth:`~repro.flow.CreditGate.acquire_batch`), and one
         coalesced write+drain cover the whole batch, so per-event cost
-        tracks the wire, not the scheduler.  The §4.4 discipline now
-        bounds active *batches* per client; the client still runs the
-        handlers strictly in order, one at a time.
+        tracks the wire, not the scheduler.  The §4.4 discipline bounds
+        active *batches* per client; the client still runs the handlers
+        strictly in order, one at a time.
 
         Per-event failures (handler raised, reply timed out) come back
         in the result list as exceptions in event order; a dead
@@ -320,52 +259,54 @@ class Session:
         """
         if not items:
             return []
-        channel = self._upcall_channel if self.has_upcall_channel else self.rpc_channel
-        if channel is None or channel.closed:
-            raise UpcallError(
-                "client has no channel for upcalls (neither a dedicated "
-                "upcall stream nor a live RPC stream)"
-            )
+        channel = self._upcall_path()
+        with self._upcall_span(f"ruc-{callback_id} x{len(items)}") as ctx:
+            return await self._send_locked(callback_id, items, channel, ctx)
+
+    def _upcall_span(self, name: str):
+        """The trace span an upcall send runs in; yields the context
+        stamped onto its frames."""
         tracer = self.server.tracer
         if tracer.active:
             from repro.trace import KIND_UPCALL
 
-            with tracer.span(
-                KIND_UPCALL, f"ruc-{callback_id} x{len(items)}"
-            ) as ctx:
-                return await self._send_batch_locked(callback_id, items, channel, ctx)
-        return await self._send_batch_locked(
-            callback_id, items, channel, current_context()
-        )
+            return tracer.span(KIND_UPCALL, name)
+        return contextlib.nullcontext(current_context())
 
-    async def _send_batch_locked(
+    async def _send_locked(
         self,
         callback_id: int,
         items,
         channel,
         ctx: SpanContext | None = None,
     ) -> list[bytes | Exception]:
+        """The one upcall send: slot, window, frames, replies, metrics."""
         stages = self.server.stages
         metrics = self.server.metrics
         trace_id = ctx.trace_id if ctx else ""
         parent_span = ctx.span_id if ctx else 0
         version = channel.protocol_version
         results: list[bytes | Exception] = []
+        t_entry = time.perf_counter()
         async with self._upcall_slots:
             index = 0
             while index < len(items):
                 pending = items[index:]
-                t_entry = time.perf_counter() if stages is not None else 0.0
-                # One window pass covers the whole chunk; a batch wider
-                # than the client's grant flushes in window-sized slices.
+                # Interactive traffic still honours the client's window:
+                # a client that stopped draining upcalls stalls the
+                # server task here (bounded by upcall_timeout below)
+                # rather than ballooning the client's queue.  One window
+                # pass covers the whole chunk; a batch wider than the
+                # client's grant flushes in window-sized slices.
                 taken = await self.upcall_gate.acquire_batch(
                     [message_cost(payload) for payload, _ in pending]
                 )
                 chunk = pending[:taken]
                 started = time.perf_counter()
                 if stages is not None:
-                    # Amortized per event so the stage histograms keep
-                    # one observation per delivery and their means still
+                    # Gate stage: §4.4 slot + credit window, amortized
+                    # per event so the stage histograms keep one
+                    # observation per delivery and their means still
                     # decompose the per-event latency.
                     gate_us = (started - t_entry) * 1e6 / taken
                     for _ in range(taken):
@@ -400,44 +341,52 @@ class Session:
                 self.upcalls_sent += taken
                 try:
                     await channel.send_encoded(frames)
-                except BaseException:
-                    for serial in serials:
-                        self._waiting.pop(serial, None)
-                    raise
-                if stages is not None:
-                    write_us = (time.perf_counter() - started) * 1e6 / taken
-                    for _ in range(taken):
-                        stages.observe(STAGE_WRITE, write_us)
-                timeout = self.server.upcall_timeout
-                for serial, future in zip(serials, futures):
-                    try:
-                        if timeout is None:
-                            reply = await future
-                        else:
-                            try:
+                    if stages is not None:
+                        write_us = (time.perf_counter() - started) * 1e6 / taken
+                        for _ in range(taken):
+                            stages.observe(STAGE_WRITE, write_us)
+                    timeout = self.server.upcall_timeout
+                    for future in futures:
+                        try:
+                            if timeout is None:
+                                reply = await future
+                            else:
                                 reply = await asyncio.wait_for(future, timeout)
-                            except asyncio.TimeoutError:
-                                raise UpcallError(
-                                    f"client did not complete the upcall within "
-                                    f"{timeout}s; releasing the server task "
-                                    f"(§4.3 blocking bounded by upcall_timeout)"
-                                ) from None
-                    except Exception as exc:
-                        results.append(exc)
-                    else:
-                        results.append(reply)
-                    finally:
+                        except asyncio.TimeoutError:
+                            # A late reply will find no waiter and be dropped.
+                            results.append(UpcallError(
+                                f"client did not complete the upcall within "
+                                f"{timeout}s; releasing the server task "
+                                f"(§4.3 blocking bounded by upcall_timeout)"
+                            ))
+                        except Exception as exc:
+                            results.append(exc)
+                        else:
+                            results.append(reply)
+                finally:
+                    # On any exit — the send failed, the task was
+                    # cancelled mid-wait — no reply for this chunk is
+                    # awaited any more: drop every serial, cancel the
+                    # futures still open and retrieve the settled ones,
+                    # so a later _fail_waiting or GC reports nothing.
+                    for serial, future in zip(serials, futures):
                         self._waiting.pop(serial, None)
+                        if not future.cancel() and not future.cancelled():
+                            future.exception()
                 if metrics is not None:
                     rtt_us = (time.perf_counter() - started) * 1e6 / taken
                     rtt_hist = metrics.histogram("upcall.server.rtt_us")
                     profiler = self.server.profiler
+                    # Attribute the round trip to whatever layer's
+                    # dynamic extent we are running in — a fan-out
+                    # pump, an RPC handler's layer, or the host.
                     layer = current_layer() or HOST_LAYER
                     for payload, _ in chunk:
                         rtt_hist.observe(rtt_us)
                         if profiler is not None:
                             profiler.record_upcall(layer, rtt_us, len(payload))
                 index += taken
+                t_entry = time.perf_counter()
         return results
 
     def upcall_reply(self, message: Message) -> None:

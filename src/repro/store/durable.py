@@ -260,7 +260,9 @@ class ReplayCursor:
 
     makes redelivery harmless.  ``admit`` accepts strictly increasing
     seqs only (per-connection order plus seq-ordered replay means a
-    gap is impossible without data loss upstream).
+    gap is impossible without data loss upstream).  Any ordered stamp
+    serves as a seq: the directory watch admits ``(epoch, version)``
+    tuples and the telemetry collector admits push seqs through it.
     """
 
     __slots__ = ("last", "duplicates")

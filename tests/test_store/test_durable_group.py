@@ -13,6 +13,7 @@ import pytest
 
 from repro.bundlers import default_registry
 from repro.cluster import UpcallGroup
+from repro.cluster import group as group_module
 from repro.core import UpcallSignature
 from repro.errors import (
     FlushTimeoutError,
@@ -121,9 +122,10 @@ class TestParkAndReplay:
         await group.close()
 
     @async_test
-    async def test_replay_is_fenced_from_live_posts(self, tmp_path):
+    async def test_replay_is_fenced_from_live_posts(self, tmp_path, monkeypatch):
         """Posts racing a replay land behind it — never interleaved."""
-        group, _ = make_group(tmp_path, replay_chunk=2)
+        monkeypatch.setattr(group_module, "REPLAY_CHUNK", 2)
+        group, _ = make_group(tmp_path)
         boom = [True]
 
         def dying(seq: int, value: int) -> None:
